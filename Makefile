@@ -4,15 +4,15 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race bench bench-json bench-compare probe-demo fuzz-smoke cover-netem cover-runcache cover-obs cover-campaign impair-demo docs-check chaos-smoke campaign-smoke
+.PHONY: verify build fmt-check test vet race bench bench-json bench-compare probe-demo fuzz-smoke cover-netem cover-runcache cover-obs cover-campaign impair-demo docs-check chaos-smoke campaign-smoke
 
 # BENCH_N matches this PR's position in the stacked sequence; bump it when a
 # later change re-baselines the trajectory file. BENCH_PREV is the baseline
 # the bench-compare gate diffs against.
-BENCH_N ?= 10
-BENCH_PREV ?= 9
+BENCH_N ?= 12
+BENCH_PREV ?= 10
 
-verify: build vet test race cover-netem cover-runcache cover-obs cover-campaign
+verify: build fmt-check vet test race cover-netem cover-runcache cover-obs cover-campaign
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the tree.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The sweep runner, the observability sinks, the run cache, and the campaign
 # coordinator are the only concurrent code in the repository; keep them

@@ -93,9 +93,12 @@ func measureBest(fn func() (events uint64, simTime time.Duration)) BenchResult {
 	return best
 }
 
-// measure runs fn once and returns wall time plus the goroutine-local
-// allocation deltas. A GC up front keeps dead objects from a previous case
-// out of this case's numbers.
+// measure runs fn once and returns wall time plus the allocation deltas.
+// The runtime.MemStats counters are process-wide, so anything else
+// allocating meanwhile (another goroutine, the runtime itself) is counted
+// too; the suite runs its cases one at a time for that reason. A GC up
+// front keeps dead objects from a previous case out of this case's
+// numbers.
 func measure(fn func() (events uint64, simTime time.Duration)) BenchResult {
 	runtime.GC()
 	var before, after runtime.MemStats

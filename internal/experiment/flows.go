@@ -220,15 +220,29 @@ type popSlot struct {
 	active   time.Duration
 	arrivals int
 	srttMS   float64
+
+	// arrive and depart are the slot's items on the population lane.
+	arrive, depart popEdge
 }
 
-// popSlotStart and popSlotStop are the shared schedule callbacks: every
-// arrival/departure event across the whole population carries one of
-// these two functions plus its slot pointer, so scheduling a slot's
-// entire ON/OFF history allocates no closures at all.
-func popSlotStart(a any) { sl := a.(*popSlot); sl.start(sl.eng.Now()) }
+// popEdge is one kind of slot transition, the argument every arrival or
+// departure of its slot carries through the population lane.
+type popEdge struct {
+	sl *popSlot
+	on bool
+}
 
-func popSlotStop(a any) { sl := a.(*popSlot); sl.stop(sl.eng.Now()) }
+// popTransition is the population lane's shared callback: one function
+// for every arrival and departure, so queueing a slot's entire ON/OFF
+// history allocates no closures at all.
+func popTransition(a any) {
+	ed := a.(*popEdge)
+	if ed.on {
+		ed.sl.start(ed.sl.eng.Now())
+	} else {
+		ed.sl.stop(ed.sl.eng.Now())
+	}
+}
 
 // start activates the slot (an arrival).
 func (sl *popSlot) start(now sim.Time) {
@@ -280,6 +294,12 @@ type population struct {
 	slots   []*popSlot
 	streams []packet.FlowID // extra game-stream flow IDs
 
+	// sched delivers every slot's arrivals and departures. The whole
+	// schedule is drawn before the run starts, staged in draw order and
+	// sorted once, so it costs the event heap one slot instead of one
+	// entry per pending transition.
+	sched sim.Lane
+
 	// slotStore and bulkStore are the bulk backing arrays the slot
 	// pointers index into; binStore backs every iperf slot's goodput
 	// bins. One allocation each, however many flows the population has.
@@ -310,6 +330,7 @@ func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.
 	pcfg := cfg.Population.withDefaults(span)
 
 	pop := &population{cfg: pcfg}
+	pop.sched.Init(eng, popTransition)
 
 	// Extra always-on game streams share the game hosts; the primary
 	// stream keeps flowGame and remains the one measured by GameMbps.
@@ -379,6 +400,7 @@ func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.
 		m := mix[i%len(mix)]
 		sl := &pop.slotStore[i]
 		sl.kind, sl.cca, sl.flow, sl.eng = m.Kind, m.CCA, popFlowBase+packet.FlowID(i), eng
+		sl.arrive, sl.depart = popEdge{sl: sl, on: true}, popEdge{sl: sl}
 		switch m.Kind {
 		case CompIperf:
 			sl.bulk = &pop.bulkStore[nextBulk]
@@ -407,8 +429,8 @@ func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.
 
 		// Draw the slot's full ON/OFF schedule now. Phases are staggered
 		// by a uniform initial offset so the population doesn't arrive in
-		// lockstep at FlowStart. The two shared callbacks serve every
-		// period, so schedule length costs events, not closures.
+		// lockstep at FlowStart. Each transition takes its event sequence
+		// number as it is staged, so ties dispatch in draw order.
 		t := winStart.Add(time.Duration(rng.Float64() * float64(pcfg.MeanOn+pcfg.MeanOff)))
 		for t < winStop {
 			onDur := paretoDuration(rng, pcfg.MeanOn, pcfg.Shape)
@@ -416,12 +438,13 @@ func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.
 			if end > winStop {
 				end = winStop
 			}
-			eng.ScheduleCallAt(t, popSlotStart, sl)
-			eng.ScheduleCallAt(end, popSlotStop, sl)
+			pop.sched.Stage(t, &sl.arrive)
+			pop.sched.Stage(end, &sl.depart)
 			off := time.Duration(rng.Exp(pcfg.MeanOff.Seconds()) * float64(time.Second))
 			t = end.Add(off)
 		}
 	}
+	pop.sched.Commit()
 	return pop
 }
 

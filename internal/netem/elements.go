@@ -26,15 +26,17 @@ type Link struct {
 	next  packet.Handler
 
 	busyUntil sim.Time
-	deliver   func(any) // prebuilt so per-packet scheduling allocates nothing
-	Stats     Stats
+	// out holds packets in flight. busyUntil never decreases and the delay
+	// is fixed, so delivery times are already in order.
+	out   sim.Lane
+	Stats Stats
 }
 
 // NewLink returns a link serialising at rate with propagation delay d,
 // delivering to next. A non-positive rate serialises instantaneously.
 func NewLink(eng *sim.Engine, rate units.Rate, d time.Duration, next packet.Handler) *Link {
 	l := &Link{eng: eng, rate: rate, delay: d, next: next}
-	l.deliver = func(x any) { l.next.Handle(x.(*packet.Packet)) }
+	l.out.Init(eng, func(x any) { l.next.Handle(x.(*packet.Packet)) })
 	return l
 }
 
@@ -49,7 +51,7 @@ func (l *Link) Handle(p *packet.Packet) {
 	l.busyUntil = done
 	l.Stats.Packets++
 	l.Stats.Bytes += units.ByteSize(p.Size)
-	l.eng.ScheduleCallAt(done.Add(l.delay), l.deliver, p)
+	l.out.Push(done.Add(l.delay), p)
 }
 
 // Delay forwards packets after a fixed delay, preserving order — the
@@ -63,16 +65,17 @@ type Delay struct {
 	next   packet.Handler
 	jitter time.Duration
 	rng    *sim.RNG
-	// lastOut enforces in-order delivery under jitter.
+	// lastOut enforces in-order delivery under jitter and SetDelay, which
+	// is what lets out, the packets in flight, be a lane.
 	lastOut sim.Time
-	deliver func(any)
+	out     sim.Lane
 	Stats   Stats
 }
 
 // NewDelay returns a fixed-delay element delivering to next.
 func NewDelay(eng *sim.Engine, d time.Duration, next packet.Handler) *Delay {
 	de := &Delay{eng: eng, d: d, next: next}
-	de.deliver = func(x any) { de.next.Handle(x.(*packet.Packet)) }
+	de.out.Init(eng, func(x any) { de.next.Handle(x.(*packet.Packet)) })
 	return de
 }
 
@@ -98,7 +101,7 @@ func (d *Delay) Handle(p *packet.Packet) {
 		out = d.lastOut // preserve order
 	}
 	d.lastOut = out
-	d.eng.ScheduleCallAt(out, d.deliver, p)
+	d.out.Push(out, p)
 }
 
 // SetDelay changes the delay for subsequently handled packets.
@@ -352,9 +355,6 @@ func NewHost(eng *sim.Engine, addr packet.Addr, out packet.Handler, ids *uint64)
 		nextID: ids,
 	}
 }
-
-// SetOut changes the host's first hop.
-func (h *Host) SetOut(out packet.Handler) { h.out = out }
 
 // SetPool attaches a per-run packet freelist. Endpoints on the host then
 // allocate via NewPacket, and every packet the host delivers is recycled

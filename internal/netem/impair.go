@@ -129,9 +129,12 @@ type Impairer struct {
 	down      bool
 	downSince sim.Time
 	// lastOut is the latest scheduled delivery: the order clamp without
-	// Reorder, the overtake detector with it.
+	// Reorder, the overtake detector with it. Clamped deliveries never go
+	// back in time, so they queue on the out lane; reordered ones are
+	// scheduled one by one through deliver.
 	lastOut sim.Time
 	deliver func(any)
+	out     sim.Lane
 	Stats   ImpairStats
 }
 
@@ -144,6 +147,7 @@ func NewImpairer(eng *sim.Engine, cfg Impairment, rng *sim.RNG, next packet.Hand
 	}
 	i := &Impairer{eng: eng, cfg: cfg, rng: rng, next: next}
 	i.deliver = func(x any) { i.next.Handle(x.(*packet.Packet)) }
+	i.out.Init(eng, i.deliver)
 	return i
 }
 
@@ -266,7 +270,11 @@ func (i *Impairer) forward(p *packet.Packet) {
 	if out > i.lastOut {
 		i.lastOut = out
 	}
-	i.eng.ScheduleCallAt(out, i.deliver, p)
+	if i.cfg.Reorder {
+		i.eng.ScheduleCallAt(out, i.deliver, p)
+		return
+	}
+	i.out.Push(out, p)
 }
 
 // drop runs the drop callback and recycles the packet.

@@ -1,8 +1,8 @@
 // Claim files give cooperating processes a way to partition work over a
 // shared cache directory without ever locking the blobs themselves. A claim
-// is a small JSON file created atomically (O_EXCL, or temp+rename when
-// stealing an expired one) that says "this worker is computing this unit
-// until this deadline". Claims are advisory: they keep workers off each
+// is a small JSON file created atomically (temp+link, which fails if the
+// claim exists, or temp+rename when stealing an expired one) that says
+// "this worker is computing this unit until this deadline". Claims are advisory: they keep workers off each
 // other's shards in the common case, but correctness never depends on them
 // — the blobs are content-addressed and written atomically, so two workers
 // that do end up racing the same unit merely duplicate work and produce
@@ -47,28 +47,37 @@ type Claim struct {
 // Owner returns the claim's owner string.
 func (c *Claim) Owner() string { return c.owner }
 
-// writeClaimTo writes info as JSON to path via temp+rename in the same
-// directory, so readers never observe a torn claim.
-func writeClaimTo(path string, info ClaimInfo) error {
+// writeClaimTemp writes info as JSON to a fresh temp file in dir and
+// returns its name. The claim path only ever receives a complete file from
+// it, by link or rename, so readers never observe a torn claim.
+func writeClaimTemp(dir string, info ClaimInfo) (string, error) {
 	data, err := json.Marshal(info)
 	if err != nil {
-		return fmt.Errorf("runcache: claim: %w", err)
+		return "", fmt.Errorf("runcache: claim: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "claim-*.tmp")
+	tmp, err := os.CreateTemp(dir, "claim-*.tmp")
 	if err != nil {
-		return fmt.Errorf("runcache: claim: %w", err)
+		return "", fmt.Errorf("runcache: claim: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: claim: %w", err)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: claim: %w", err)
+		return "", fmt.Errorf("runcache: claim: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	return tmp.Name(), nil
+}
+
+// writeClaimTo replaces the claim at path with info via temp+rename.
+func writeClaimTo(path string, info ClaimInfo) error {
+	tmp, err := writeClaimTemp(filepath.Dir(path), info)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("runcache: claim: %w", err)
 	}
 	return nil
@@ -93,47 +102,57 @@ func ReadClaim(path string) (info ClaimInfo, ok bool, err error) {
 }
 
 // AcquireClaim attempts to take the claim at path for owner with the given
-// lease. It succeeds when no claim exists (created with O_EXCL, so exactly
-// one of several simultaneous creators wins) or when the existing claim's
+// lease. It succeeds when no claim exists (a complete temp file is
+// hard-linked into place, which fails if the claim exists, so exactly one
+// of several simultaneous creators wins) or when the existing claim's
 // lease has expired (stolen via temp+rename, then re-read to confirm the
 // steal was not itself raced). ok is false when the claim is validly held
 // by someone else.
 func AcquireClaim(path, owner string, ttl time.Duration) (claim *Claim, ok bool, err error) {
 	info := ClaimInfo{Owner: owner, PID: os.Getpid(), Expires: time.Now().Add(ttl).UnixNano()}
 
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	switch {
-	case err == nil:
-		data, merr := json.Marshal(info)
-		if merr == nil {
-			_, merr = f.Write(data)
-		}
-		if cerr := f.Close(); merr == nil {
-			merr = cerr
-		}
-		if merr != nil {
-			os.Remove(path)
-			return nil, false, fmt.Errorf("runcache: claim: %w", merr)
-		}
-		return &Claim{path: path, owner: owner}, true, nil
-	case !os.IsExist(err):
-		return nil, false, fmt.Errorf("runcache: claim: %w", err)
-	}
-
-	// The claim exists. Steal it only if its lease has expired.
-	existing, found, err := ReadClaim(path)
+	tmp, err := writeClaimTemp(filepath.Dir(path), info)
 	if err != nil {
 		return nil, false, err
 	}
-	if found && !existing.Expired(time.Now()) {
-		return nil, false, nil
+	defer func() {
+		if tmp != "" {
+			os.Remove(tmp)
+		}
+	}()
+	for {
+		// Create: link the complete temp file into place. Like O_EXCL,
+		// the link fails if the claim exists, so exactly one of several
+		// simultaneous creators wins, and the claim is never visible
+		// half-written.
+		err := os.Link(tmp, path)
+		if err == nil {
+			return &Claim{path: path, owner: owner}, true, nil
+		}
+		if !os.IsExist(err) {
+			return nil, false, fmt.Errorf("runcache: claim: %w", err)
+		}
+		// The claim exists. Steal it only if its lease has expired; if it
+		// was released in the meantime, try to create it again.
+		existing, found, err := ReadClaim(path)
+		if err != nil {
+			return nil, false, err
+		}
+		if !found {
+			continue
+		}
+		if !existing.Expired(time.Now()) {
+			return nil, false, nil
+		}
+		break
 	}
-	// The holder is dead (or the claim vanished under us). Replace it
-	// atomically, then re-read: if another worker stole it in the same
-	// window, exactly one rename landed last and its owner reads back.
-	if err := writeClaimTo(path, info); err != nil {
-		return nil, false, err
+	// The holder is dead. Replace its claim atomically, then re-read: if
+	// another worker stole it in the same window, exactly one rename landed
+	// last and its owner reads back.
+	if err := os.Rename(tmp, path); err != nil {
+		return nil, false, fmt.Errorf("runcache: claim: %w", err)
 	}
+	tmp = "" // renamed into place
 	confirm, found, err := ReadClaim(path)
 	if err != nil {
 		return nil, false, err

@@ -2,9 +2,11 @@ package runcache
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -110,6 +112,91 @@ func TestClaimStealRaceHasOneWinner(t *testing.T) {
 	}
 	if !winners[info.Owner] {
 		t.Fatalf("file owned by %q, which did not report winning", info.Owner)
+	}
+}
+
+// TestClaimHammerNeverTorn runs acquirers and readers against one claim
+// path at once. A claim must only ever be seen absent or complete: an
+// acquirer that creates the file and writes its JSON afterwards lets a
+// reader in between see an empty file. The lease must also stay exclusive
+// (no lease here expires, and a claim released between an acquirer's
+// failed create and its read is created again, not stolen), and no temp
+// file may be left behind.
+func TestClaimHammerNeverTorn(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard-0004.claim")
+	const (
+		acquirers = 4
+		readers   = 4
+		rounds    = 300
+	)
+	var holders atomic.Int32
+	var acquired atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, acquirers+readers)
+	stop := make(chan struct{})
+	for i := 0; i < acquirers; i++ {
+		owner := fmt.Sprintf("w%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				c, ok, err := AcquireClaim(path, owner, time.Minute)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !ok {
+					continue
+				}
+				acquired.Add(1)
+				if n := holders.Add(1); n != 1 {
+					errs <- fmt.Errorf("%d holders of one live claim", n)
+					return
+				}
+				if info, found, err := ReadClaim(path); err != nil || !found || info.Owner != owner {
+					errs <- fmt.Errorf("holder %s read back %+v found=%v err=%v", owner, info, found, err)
+					return
+				}
+				holders.Add(-1)
+				if err := c.Release(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	var rwg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := ReadClaim(path); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rwg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if acquired.Load() == 0 {
+		t.Fatal("no acquirer ever won the claim")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("temp files left behind: %v (err %v)", left, err)
 	}
 }
 

@@ -21,8 +21,13 @@
 //   - Timer and Ticker own an indexed heap entry that Reset/Stop move or
 //     remove in place instead of abandoning tombstone events in the queue;
 //   - ScheduleCall carries a pre-built func(arg) plus a pointer-shaped
-//     argument through the event record itself, so per-packet network
-//     events need no per-event closure allocation.
+//     argument through the event record itself, so one-off deliveries
+//     need no per-event closure allocation;
+//   - a Lane queues deliveries that are already in time order (packets in
+//     flight through a link or delay line, a population's ON/OFF schedule)
+//     in a FIFO outside the heap, which holds one slot per non-empty lane
+//     keyed by its head. Each lane item takes its sequence number when it
+//     is pushed, so dispatch order is the one ScheduleCallAt would give.
 package sim
 
 import (
@@ -58,11 +63,12 @@ func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // event is one queued dispatch, kept at 48 bytes so heap sift copies stay
-// cheap. Exactly one of the two dispatch forms is set: call+arg (a prebuilt
-// function applied to an argument; one-shot closures from Schedule travel
-// this way too, as runClosure applied to the func() boxed in arg — func
-// values are pointer-shaped, so the boxing never allocates), or ent (an
-// indexed Timer/Ticker entry).
+// cheap. It takes one of three forms: call+arg (a prebuilt function applied
+// to an argument; one-shot closures from Schedule travel this way too, as
+// runClosure applied to the func() boxed in arg — func values are
+// pointer-shaped, so the boxing never allocates), ent (an indexed
+// Timer/Ticker entry), or a lane slot (call and ent nil, arg the *Lane,
+// keyed by the lane's head item; see popLane).
 type event struct {
 	at   Time
 	seq  uint64 // tiebreaker: preserves scheduling order for simultaneous events
@@ -139,8 +145,17 @@ type Engine struct {
 	// moved counts in-place timer reschedules; each one is a tombstone the
 	// old design would have leaked into the queue.
 	moved uint64
-	// peakPending is the high-water mark of the event heap.
+	// peakPending is the high-water mark of logical pending events.
 	peakPending int
+	// laneNodes is the arena every Lane's queued items live in, each lane a
+	// singly linked FIFO through next; laneFree heads the list of vacated
+	// nodes. Both use index+1 links, so 0 means none.
+	laneNodes []laneNode
+	laneFree  int32
+	// laneQueued counts lane items without a heap slot of their own: every
+	// queued item except the head of each non-empty lane. Logical pending
+	// = len(events) + inBatch + laneQueued.
+	laneQueued int
 	// wall accumulates wall-clock time spent inside Run. It never feeds
 	// back into the simulation, so determinism is preserved.
 	wall time.Duration
@@ -204,7 +219,7 @@ func (e *Engine) Stats() Stats {
 		EventsScheduled:  e.scheduled,
 		EventsCancelled:  e.cancelled,
 		TimerMoves:       e.moved,
-		Pending:          len(e.events) + e.inBatch,
+		Pending:          e.Pending(),
 		PeakPending:      e.peakPending,
 		SimTime:          e.now,
 		WallTime:         e.wall,
@@ -213,9 +228,16 @@ func (e *Engine) Stats() Stats {
 
 // NewEngine returns an engine with its clock at zero and an RNG seeded with
 // the given seed.
+//
+// The heap starts with room for heapInitCap events: one allocation where
+// growing from empty would take seven.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	return &Engine{rng: NewRNG(seed), events: make([]event, 0, heapInitCap)}
 }
+
+// heapInitCap is the event heap's initial capacity. With in-flight packets
+// in lanes, a full paper run's heap stays below it.
+const heapInitCap = 64
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -306,8 +328,14 @@ func (e *Engine) up(i int) {
 // the scheduled counter and pending high-water mark.
 func (e *Engine) push(ev event) {
 	e.pushNoCount(ev)
+	e.countScheduled()
+}
+
+// countScheduled records one newly scheduled event (heap or lane) and
+// updates the pending high-water mark.
+func (e *Engine) countScheduled() {
 	e.scheduled++
-	if n := len(e.events) + e.inBatch; n > e.peakPending {
+	if n := e.Pending(); n > e.peakPending {
 		e.peakPending = n
 	}
 }
@@ -318,9 +346,15 @@ func (e *Engine) push(ev event) {
 // of the dispatch batch, or restoring undispatched batch events on Stop —
 // cases where logical pending does not grow.
 func (e *Engine) pushNoCount(ev event) {
-	evs := append(e.events, ev)
-	e.events = evs
-	i := len(evs) - 1
+	// Grow by one slot without writing ev there: ev is stored once, at its
+	// final position.
+	i := len(e.events)
+	if i == cap(e.events) {
+		e.events = append(e.events, event{})
+	} else {
+		e.events = e.events[:i+1]
+	}
+	evs := e.events
 	for i > 0 {
 		p := int(uint(i-1) >> 2)
 		if !lessEv(&ev, &evs[p]) {
@@ -332,7 +366,11 @@ func (e *Engine) pushNoCount(ev event) {
 		}
 		i = p
 	}
-	evs[i] = ev
+	// Field by field: ev arrives in registers and is spilled word by word,
+	// and a whole-struct copy would reload it in 16-byte chunks, stalling
+	// store-to-load forwarding.
+	slot := &evs[i]
+	slot.at, slot.seq, slot.call, slot.arg, slot.ent = ev.at, ev.seq, ev.call, ev.arg, ev.ent
 	if ent := ev.ent; ent != nil {
 		ent.pos = i
 	}
@@ -342,9 +380,22 @@ func (e *Engine) pushNoCount(ev event) {
 // zeroed so the dispatched closure, call argument, and entry pointer do not
 // pin garbage from the backing array. The caller is responsible for the
 // popped entry's pos (disarmed vs batch-slot encoding).
+//
+// A lane slot at the root hands out the lane's head item as a plain call
+// event. If the lane has a next item, the same slot is re-keyed to it in
+// place and sifted down, so that item is back in the heap before the
+// caller looks at the root again — the state the all-heap schedule would
+// be in after popping the head.
 func (e *Engine) popInto(dst *event) {
 	evs := e.events
-	*dst = evs[0]
+	if evs[0].call == nil && evs[0].ent == nil {
+		e.popLane(dst)
+		return
+	}
+	// Field by field, for the same reason as the final store in
+	// pushNoCount: the root may have just been written word by word.
+	root := &evs[0]
+	dst.at, dst.seq, dst.call, dst.arg, dst.ent = root.at, root.seq, root.call, root.arg, root.ent
 	n := len(evs) - 1
 	last := evs[n]
 	evs[n] = event{}
@@ -356,6 +407,34 @@ func (e *Engine) popInto(dst *event) {
 		}
 		e.down(0)
 	}
+}
+
+// popLane hands out the head item of the lane whose slot is at the root.
+// The slot stays, re-keyed to the lane's next item and sifted down, unless
+// the lane is now empty. It is popInto's lane branch, kept out of line so
+// the common path stays free of register spills.
+func (e *Engine) popLane(dst *event) {
+	root := &e.events[0]
+	l := root.arg.(*Lane)
+	h := l.head
+	nd := &e.laneNodes[h-1]
+	// Field by field: a composite literal is built on the stack and
+	// copied, which stalls store-to-load forwarding on this hot path.
+	dst.at, dst.seq, dst.call, dst.arg, dst.ent = nd.at, nd.seq, l.fn, nd.arg, nil
+	next := nd.next
+	nd.arg = nil
+	nd.next = e.laneFree
+	e.laneFree = h
+	l.head = next
+	if next == 0 {
+		l.tail = 0
+		e.removeAt(0)
+		return
+	}
+	nx := &e.laneNodes[next-1]
+	root.at, root.seq = nx.at, nx.seq
+	e.laneQueued--
+	e.down(0)
 }
 
 // removeAt deletes the event at index i without dispatching it, zeroing the
@@ -609,8 +688,9 @@ func (e *Engine) runSerial(until Time) Time {
 func (e *Engine) RunFor(d time.Duration) Time { return e.Run(e.now.Add(d)) }
 
 // Pending reports how many events are waiting to dispatch, including any
-// drained into the in-progress dispatch batch but not yet run.
-func (e *Engine) Pending() int { return len(e.events) + e.inBatch }
+// drained into the in-progress dispatch batch but not yet run and every
+// item queued in a lane.
+func (e *Engine) Pending() int { return len(e.events) + e.inBatch + e.laneQueued }
 
 // Timer is a cancellable, reschedulable single-shot timer bound to an engine.
 // It is the building block for retransmission timeouts, delayed ACKs, and
@@ -622,15 +702,13 @@ func (e *Engine) Pending() int { return len(e.events) + e.inBatch }
 // created.
 type Timer struct {
 	eng *Engine
-	fn  func()
-	at  Time
 	ent entry
 }
 
 // NewTimer returns a timer that calls fn when it fires. The timer starts
 // disarmed.
 func NewTimer(eng *Engine, fn func()) *Timer {
-	t := &Timer{eng: eng, fn: fn}
+	t := &Timer{eng: eng}
 	t.ent.pos = -1
 	t.ent.fn = fn
 	return t
@@ -656,7 +734,6 @@ func (t *Timer) Reset(d time.Duration) {
 
 // ResetAt (re)arms the timer to fire at the absolute time at.
 func (t *Timer) ResetAt(at Time) {
-	t.at = at
 	t.eng.scheduleEntry(&t.ent, at)
 }
 
@@ -666,9 +743,6 @@ func (t *Timer) Stop() { t.eng.cancelEntry(&t.ent) }
 // Armed reports whether the timer is waiting to fire (queued or drained
 // into the in-progress dispatch batch).
 func (t *Timer) Armed() bool { return t.ent.pos != -1 }
-
-// Deadline returns when the timer will fire; meaningful only when Armed.
-func (t *Timer) Deadline() Time { return t.at }
 
 // Ticker invokes fn every interval until stopped. The first tick fires one
 // interval after Start (or immediately if startNow). Like Timer, a Ticker

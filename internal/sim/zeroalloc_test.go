@@ -6,10 +6,11 @@ import (
 )
 
 // TestSteadyStateZeroAlloc pins the tentpole guarantee: once the heap's
-// backing array has grown to its working-set size, scheduling and
-// dispatching events, re-arming timers, and ticking tickers perform zero
-// allocations. Regressions here silently re-introduce GC pressure into
-// every simulated packet.
+// backing array and the lane arena have grown to their working-set size,
+// scheduling and dispatching events, pushing to and delivering from lanes,
+// re-arming timers, and ticking tickers perform zero allocations.
+// Regressions here silently re-introduce GC pressure into every simulated
+// packet.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 
@@ -45,6 +46,32 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		e.RunFor(time.Second)
 	}); n != 0 {
 		t.Errorf("Timer.Reset: %.1f allocs/op, want 0", n)
+	}
+
+	// Lanes: pushes (some at one instant) and dispatch through the arena,
+	// with one lane's deliveries forwarding into a second lane the way a
+	// link hands packets to a delay line.
+	var hop, last Lane
+	last.Init(e, call)
+	hop.Init(e, func(a any) { last.Push(e.Now().Add(time.Millisecond), a) })
+	for i := 0; i < 256; i++ { // warm the arena past the working set below
+		hop.Push(e.Now(), arg)
+	}
+	e.RunFor(time.Second)
+	arena := cap(e.laneNodes)
+	if n := testing.AllocsPerRun(100, func() {
+		at := e.Now()
+		for i := 0; i < 100; i++ {
+			hop.Push(at.Add(time.Duration(i/4)*time.Microsecond), arg)
+		}
+		e.RunFor(time.Second)
+	}); n != 0 {
+		t.Errorf("Lane push+dispatch: %.1f allocs/op, want 0", n)
+	}
+	// AllocsPerRun rounds down, which would hide amortised arena growth:
+	// delivered nodes must be reused, so the arena must not have grown.
+	if got := cap(e.laneNodes); got != arena {
+		t.Errorf("lane arena grew from %d to %d nodes in steady state", arena, got)
 	}
 
 	tk := NewTicker(e, time.Millisecond, nil)
