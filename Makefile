@@ -49,6 +49,8 @@ fuzz-smoke:
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseProb -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzParseScenario -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseCampaign -fuzztime $(PARSEFUZZTIME)
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzReadManifest -fuzztime $(PARSEFUZZTIME)
+	$(GO) test ./internal/runcache -run '^$$' -fuzz FuzzReadClaim -fuzztime $(PARSEFUZZTIME)
 
 # The impairment subsystem is the loss model under every CC validation
 # claim; hold its statement coverage at >= 80%.
@@ -114,9 +116,12 @@ docs-check:
 # gscampaign worker processes over a throwaway directory, sweeps up and
 # merges their shards, and gsreport renders the merged telemetry. The
 # second pass resumes the finished campaign (a pure re-merge) and must
-# leave the deterministic artefact byte-identical.
+# leave the deterministic artefact byte-identical. The third runs the spec
+# into a fresh directory over the now-warm cache with two workers — the
+# path where workers wait on each other's millisecond shards — and must
+# merge the same bytes.
 campaign-smoke:
-	rm -rf campaign-smoke.dir
+	rm -rf campaign-smoke.dir campaign-smoke.warm
 	printf '%s\n' '[campaign]' 'name = ci-smoke' 'seed = 42' 'iterations = 2' \
 		'scale = 0.05' 'shards = 4' '' '[grid]' 'systems = stadia, luna' \
 		'ccas = cubic, solo' 'capacities = 25mbit' 'queue_mults = 2' \
@@ -126,7 +131,10 @@ campaign-smoke:
 	$(GO) run ./cmd/gscampaign -dir campaign-smoke.dir -resume > /dev/null
 	cmp campaign-smoke.det1.json campaign-smoke.dir/merged.det.json
 	$(GO) run ./cmd/gsreport -campaign campaign-smoke.dir
-	rm -rf campaign-smoke.dir campaign-smoke.campaign campaign-smoke.det1.json
+	$(GO) run ./cmd/gscampaign -spec campaign-smoke.campaign -dir campaign-smoke.warm \
+		-cache campaign-smoke.dir/cache -workers 2 > /dev/null
+	cmp campaign-smoke.det1.json campaign-smoke.warm/merged.det.json
+	rm -rf campaign-smoke.dir campaign-smoke.warm campaign-smoke.campaign campaign-smoke.det1.json
 
 # The EXPERIMENTS.md chaos example at CI size: a seeded campaign through a
 # throwaway cache, rendered as the per-invariant verdict table, then

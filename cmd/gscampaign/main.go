@@ -44,7 +44,7 @@ func main() {
 		cacheDir = flag.String("cache", "", "shared run cache directory (default <dir>/cache); all workers must use the same one")
 		workers  = flag.Int("workers", 0, "worker processes to spawn; 0 executes every shard in-process")
 		lease    = flag.Duration("lease", campaign.DefaultLease, "shard claim lease; a crashed worker's shard is re-claimed after this expires")
-		poll     = flag.Duration("poll", campaign.DefaultPoll, "idle wait between shard scans when all unfinished shards are claimed")
+		poll     = flag.Duration("poll", campaign.DefaultPoll, "longest idle wait between shard scans when all unfinished shards are claimed; waits start at 1 ms and double")
 		resume   = flag.Bool("resume", false, "resume an initialised campaign directory, executing only missing shards")
 		status   = flag.Bool("status", false, "print shard completion for the campaign directory and exit")
 		worker   = flag.Bool("worker", false, "run as a single worker over an initialised directory (what -workers children execute)")
@@ -114,7 +114,9 @@ func run(specPath, dir, cacheDir string, workers int, lease, poll time.Duration,
 		before := cache.Stats()
 		n, err := w.Run(ctx)
 		delta := cache.Stats().Sub(before)
-		fmt.Fprintf(log, "worker %s: published %d shards; cache: %s\n", owner, n, delta)
+		waits, idle := w.IdleStats()
+		fmt.Fprintf(log, "worker %s: published %d shards; idle %s in %d waits; cache: %s\n",
+			owner, n, idle.Round(100*time.Microsecond), waits, delta)
 		return err
 	}
 

@@ -19,7 +19,11 @@
 //   - worker.go is the claim-execute-publish loop one worker process runs:
 //     acquire a shard's lease file, execute its cells through
 //     experiment.RunCached, publish the shard runlog and telemetry
-//     snapshot, release, repeat until no shards remain.
+//     snapshot, release, repeat until no shards remain. When every
+//     unfinished shard is held by a live peer it waits and rescans; the
+//     wait starts at 1 ms, doubles with each idle scan up to Poll, and
+//     resets when the worker executes a shard, so a dead peer's shard is
+//     stolen within one Poll of its lease expiring.
 //   - coordinator.go initialises (or resumes) the campaign directory,
 //     spawns N worker processes, finishes any remaining shards in-process,
 //     and merges the per-shard snapshots in shard order into the final

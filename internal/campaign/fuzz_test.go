@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -93,6 +95,75 @@ func FuzzParseCampaign(f *testing.F) {
 					t.Fatalf("cell %d not cacheable", c.Index)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadManifest writes arbitrary bytes as a campaign directory's
+// manifest. Every worker re-reads the manifest from the shared directory,
+// so ReadManifest must return a clean error or a manifest, never panic, and
+// a manifest it accepts must be self-consistent: its spec's ID is the
+// manifest's ID, its shape is the spec's, and the worker's scan over it
+// stays in bounds.
+func FuzzReadManifest(f *testing.F) {
+	manifest := func(text string) []byte {
+		sp, err := ParseSpec(strings.NewReader(text))
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := json.MarshalIndent(NewManifest(sp), "", " ")
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	tiny := manifest(tinySpecText)
+	f.Add(tiny)
+	f.Add(manifest(gridSpecText))
+	f.Add(manifest(mcSpecText))
+	for _, s := range []string{
+		// Valid JSON whose cross-checks must fail.
+		strings.Replace(string(tiny), ManifestSchema, "gs-campaign-v0", 1),
+		strings.Replace(string(tiny), `"total": 4`, `"total": 5`, 1),
+		strings.Replace(string(tiny), `"shards": 2`, `"shards": 0`, 1),
+		strings.Replace(string(tiny), "seed = 7", "seed = 8", 1),
+		`{"schema":"gs-campaign-v1","spec":"[campaign]\nshards = 99999\n"}`,
+		`{"schema":"gs-campaign-v1","spec":"[grid]\nqueue_mults = 1e309"}`,
+		`{"schema":"gs-campaign-v1","spec":5}`,
+		`null`, `[]`, `{}`, `{`, ``, "\xff\xfe\x00",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, sp, err := ReadManifest(dir)
+		if err != nil {
+			if m != nil || sp != nil {
+				t.Fatalf("ReadManifest returned both a value and an error: %v", err)
+			}
+			return
+		}
+		if sp.ID() != m.ID {
+			t.Fatalf("manifest id %s, spec id %s", m.ID, sp.ID())
+		}
+		if m.Total != sp.Total() || m.Shards != sp.ShardCount() || m.ShardSize != sp.ShardSize() {
+			t.Fatalf("manifest shape %d/%d/%d, spec %d/%d/%d",
+				m.Total, m.Shards, m.ShardSize, sp.Total(), sp.ShardCount(), sp.ShardSize())
+		}
+		if m.Shards < 1 || m.Shards > maxShards {
+			t.Fatalf("accepted manifest with %d shards", m.Shards)
+		}
+		if done, n := Status(dir, m); len(done) != m.Shards || n != 0 {
+			t.Fatalf("Status over an empty directory: %d slots, %d done", len(done), n)
+		}
+		// Re-initialising over the accepted manifest adopts the same
+		// campaign.
+		m2, sp2, err := Init(dir, sp, true)
+		if err != nil || m2.ID != m.ID || sp2.ID() != sp.ID() {
+			t.Fatalf("resume over an accepted manifest: %v", err)
 		}
 	})
 }

@@ -13,10 +13,11 @@ import (
 	"repro/internal/runcache"
 )
 
-// Worker default knobs.
+// Worker default knobs; minIdleWait is the first idle wait (see Worker.Poll).
 const (
 	DefaultLease = time.Minute
 	DefaultPoll  = 200 * time.Millisecond
+	minIdleWait  = time.Millisecond
 )
 
 // Worker executes campaign shards: it claims a shard's lease file, runs the
@@ -36,8 +37,12 @@ type Worker struct {
 	// Owner names this worker in claim files; must be unique per worker.
 	Owner string
 	// Lease is the claim TTL; the worker renews at half-life while a shard
-	// executes. Poll is the idle wait between scans when every unfinished
-	// shard is claimed by someone else.
+	// executes. Poll is the longest idle wait between scans when every
+	// unfinished shard is claimed by someone else: idle waits start at
+	// 1 ms, double with each scan that executes nothing, and reset to 1 ms
+	// when the worker executes a shard. A worker waiting on a live peer's
+	// warm shard sees it published within milliseconds, and a dead peer's
+	// shard is stolen within one Poll of its lease expiring.
 	Lease time.Duration
 	Poll  time.Duration
 	// IgnoreClaims skips claim acquisition entirely, so this worker races
@@ -46,6 +51,15 @@ type Worker struct {
 	IgnoreClaims bool
 	// Log, when non-nil, receives one line per shard event.
 	Log io.Writer
+
+	// Idle accounting, read with IdleStats after Run.
+	idleWaits int
+	idleTime  time.Duration
+}
+
+// IdleStats reports how many idle waits Run made and their total duration.
+func (w *Worker) IdleStats() (waits int, total time.Duration) {
+	return w.idleWaits, w.idleTime
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -77,6 +91,8 @@ func (w *Worker) Run(ctx context.Context) (executed int, err error) {
 	for _, c := range w.Owner {
 		offset = (offset*31 + int(c)) % max(n, 1)
 	}
+	first := min(minIdleWait, poll)
+	wait := first
 	for {
 		missing := 0
 		for s := 0; s < n; s++ {
@@ -117,6 +133,7 @@ func (w *Worker) Run(ctx context.Context) (executed int, err error) {
 			}
 			executed++
 			missing--
+			wait = first
 		}
 		if missing == 0 {
 			// Every shard either done or (transiently) claimed; rescan once
@@ -125,12 +142,27 @@ func (w *Worker) Run(ctx context.Context) (executed int, err error) {
 				return executed, nil
 			}
 		}
-		select {
-		case <-ctx.Done():
-			return executed, ctx.Err()
-		case <-time.After(poll):
+		if err := w.idle(ctx, wait); err != nil {
+			return executed, err
 		}
+		wait = min(2*wait, poll)
 	}
+}
+
+// idle sleeps for d, or until ctx is cancelled, and accounts the wait.
+func (w *Worker) idle(ctx context.Context, d time.Duration) error {
+	start := time.Now()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	var err error
+	select {
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-t.C:
+	}
+	w.idleWaits++
+	w.idleTime += time.Since(start)
+	return err
 }
 
 // runShard executes one shard's cells in order and publishes its outputs:

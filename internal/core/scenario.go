@@ -1,8 +1,6 @@
 package core
 
 import (
-	"io"
-
 	"repro/internal/experiment"
 	"repro/internal/scenario"
 )
@@ -20,9 +18,6 @@ type ChaosOptions = scenario.ChaosConfig
 // CampaignReport is a chaos campaign's aggregated invariant verdicts
 // (alias of scenario.CampaignReport); render it with gsreport -invariants.
 type CampaignReport = scenario.CampaignReport
-
-// ParseScenario parses a scenario file.
-func ParseScenario(r io.Reader) (*Scenario, error) { return scenario.Parse(r) }
 
 // LoadScenario parses a scenario file from disk.
 func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
@@ -42,6 +37,3 @@ func RunChaos(opts ChaosOptions) (*CampaignReport, error) { return scenario.RunC
 func SaveCampaignReport(path string, rep *CampaignReport) error {
 	return scenario.SaveReport(path, rep)
 }
-
-// LoadCampaignReport reads a campaign report written by SaveCampaignReport.
-func LoadCampaignReport(path string) (*CampaignReport, error) { return scenario.LoadReport(path) }

@@ -295,3 +295,66 @@ func TestClaimInfoRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v != %+v", back, info)
 	}
 }
+
+// FuzzReadClaim writes arbitrary bytes where a claim file lives. Claim
+// files come from other processes sharing the directory, so the readers a
+// worker's scan hits must fail closed: ReadClaim returns a clean error or
+// a claim, never panics, and AcquireClaim over a file ReadClaim rejects
+// errors without touching it. A claim that reads back survives a rewrite
+// unchanged, and AcquireClaim takes it exactly when its lease has expired.
+func FuzzReadClaim(f *testing.F) {
+	live := time.Now().Add(24 * time.Hour).UnixNano()
+	for _, s := range []string{
+		fmt.Sprintf(`{"owner":"w1","pid":42,"expires_unix_ns":%d}`, live),
+		`{"owner":"dead","pid":7,"expires_unix_ns":1}`,
+		`{"owner":"w2","pid":-1,"expires_unix_ns":-9223372036854775808}`,
+		`{"owner":"w3","expires_unix_ns":9223372036854775807}`,
+		`{"owner":"w4","expires_unix_ns":1e400}`,
+		`{"owner":5}`,
+		`{"owner":"\u0000\ud800","extra":[1,2,3]}`,
+		`{"owner":"w1","pid":4`,
+		`null`, `[]`, `""`, `{}`, ``, " \n", "\xff\xfe\x00",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "shard-0000.claim")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		info, ok, err := ReadClaim(path)
+		if err != nil {
+			if ok || info != (ClaimInfo{}) {
+				t.Fatalf("error %v returned with ok=%v info=%+v", err, ok, info)
+			}
+			if _, ok, err := AcquireClaim(path, "fuzz", time.Minute); err == nil || ok {
+				t.Fatalf("AcquireClaim over an unreadable claim: ok=%v err=%v", ok, err)
+			}
+			if got, _ := os.ReadFile(path); string(got) != string(data) {
+				t.Fatal("AcquireClaim rewrote an unreadable claim")
+			}
+			return
+		}
+		if !ok {
+			t.Fatal("existing claim file reported absent")
+		}
+		if err := writeClaimTo(path, info); err != nil {
+			t.Fatal(err)
+		}
+		back, ok, err := ReadClaim(path)
+		if err != nil || !ok || back != info {
+			t.Fatalf("claim round trip: %+v -> %+v ok=%v err=%v", info, back, ok, err)
+		}
+		expired := info.Expired(time.Now())
+		c, ok, err := AcquireClaim(path, "fuzz", time.Minute)
+		if err != nil {
+			t.Fatalf("AcquireClaim over a readable claim: %v", err)
+		}
+		if ok != expired {
+			t.Fatalf("AcquireClaim ok=%v over a claim with expired=%v (%+v)", ok, expired, info)
+		}
+		if ok && c.Owner() != "fuzz" {
+			t.Fatalf("stolen claim owned by %q", c.Owner())
+		}
+	})
+}
